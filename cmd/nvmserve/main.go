@@ -13,14 +13,14 @@
 //
 // Fleet: with -fleet the daemon becomes a coordinator — it additionally
 // mounts the /fleet/v1/* worker endpoints, and sweep/plan batches are
-// sharded into chunks dispatched across joined workers (work-stealing,
-// heartbeat-based failure recovery; with no workers joined everything
-// runs locally, byte-for-byte identical). With -worker -join <url> the
-// process runs no HTTP server at all: it registers with the named
-// coordinator, pulls chunks, evaluates them on its own engine (its
-// -store is the worker-local cache), and posts results back. A worker
-// whose disk store degrades self-evicts and exits non-zero. See
-// internal/fleet for the protocol.
+// carved into chunks as joined workers pull them (heartbeat-based
+// failure recovery re-queues a dead worker's chunks whole; with no
+// workers joined everything runs locally, byte-for-byte identical).
+// With -worker -join <url> the process runs no HTTP server at all: it
+// registers with the named coordinator, pulls chunks, evaluates them on
+// its own engine (its -store is the worker-local cache), and posts
+// results back. A worker whose disk store degrades self-evicts and
+// exits non-zero. See internal/fleet for the protocol.
 //
 // With -store, evaluated points persist to a disk result store shared
 // with nvmbench: a restarted daemon (or a warm nvmbench -store run)
@@ -92,7 +92,7 @@ func main() {
 	join := flag.String("join", "", "coordinator base URL for -worker (e.g. http://127.0.0.1:8080)")
 	workerName := flag.String("worker-name", "", "worker label in the coordinator's health report (default host:pid)")
 	heartbeat := flag.Duration("fleet-heartbeat", fleet.DefaultHeartbeat, "coordinator: worker heartbeat cadence; a worker silent for 4x this is declared dead and its chunks re-queue")
-	fleetWindow := flag.Int("fleet-window", fleet.DefaultWindow, "coordinator: per-worker dispatch window — at most this many chunks queued-or-in-flight per live worker; chunk bookkeeping stays O(workers x window) regardless of sweep size")
+	fleetWindow := flag.Int("fleet-window", fleet.DefaultWindow, "coordinator: per-worker dispatch window — at most this many chunks in flight per live worker; chunk bookkeeping stays O(workers x window) regardless of sweep size")
 	workerDelay := flag.Duration("worker-delay", 0, "worker: deterministic extra latency per evaluated point — scheduler drills and CI smoke only")
 	flag.Parse()
 
@@ -155,12 +155,15 @@ func main() {
 		coord:       coord,
 	}).handler()}
 
+	// Catch signals before the listener starts: once /healthz answers,
+	// a SIGTERM must drain and close the store, never kill the daemon
+	// by the default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe() }()
 	fmt.Printf("nvmserve: listening on %s (%d workers)\n", *addr, eng.Workers())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-done:
 		// ListenAndServe only returns on failure.

@@ -76,12 +76,11 @@
 // The stack also scales past one machine: internal/fleet federates
 // nvmserve daemons into a coordinator/worker cluster behind the same
 // public API. The coordinator plugs into session.Manager as its batch
-// executor, shards sweep and plan batches into chunks, and dispatches
-// them over a strict-JSON HTTP protocol to workers (nvmserve -worker
-// -join) with pull-based work-stealing and deterministic round-robin
-// placement; the fingerprint-keyed result store is the fleet-wide
-// dedup tier, so only cold points travel and concurrent identical
-// points coalesce. Streams, ordering, cancellation and error text are
+// executor and carves sweep and plan batches into chunks as workers
+// (nvmserve -worker -join) pull them over a strict-JSON HTTP protocol,
+// sizing each chunk for the worker that pulls it; the fingerprint-keyed
+// result store is the fleet-wide dedup tier, so only cold points
+// travel and concurrent identical points coalesce. Streams, ordering, cancellation and error text are
 // byte-identical to a local run; a worker killed mid-sweep has its
 // in-flight chunks re-queued whole, a worker whose disk store degrades
 // self-evicts, and a fleet of zero workers degenerates to the

@@ -1,8 +1,6 @@
 package faultline
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/jsoncodec"
 )
 
 // Op classifies the filesystem operations a rule can match.
@@ -169,17 +169,12 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// ParsePlan decodes a strict-JSON fault plan: unknown fields are
-// rejected and the plan is validated.
+// ParsePlan decodes a strict-JSON fault plan: unknown fields and
+// trailing data are rejected and the plan is validated.
 func ParsePlan(data []byte) (Plan, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var p Plan
-	if err := dec.Decode(&p); err != nil {
-		return Plan{}, fmt.Errorf("faultline: parsing plan: %w", err)
-	}
-	if dec.More() {
-		return Plan{}, fmt.Errorf("faultline: plan has trailing data")
+	if err := jsoncodec.DecodeStrict(data, &p, "plan"); err != nil {
+		return Plan{}, fmt.Errorf("faultline: %w", err)
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err

@@ -34,9 +34,9 @@ type Options struct {
 	// keeps each default).
 	Heartbeat, DeadAfter, Poll time.Duration
 	// Window is the per-worker dispatch window: at most this many
-	// chunks queued-or-in-flight per live worker before the scheduler
-	// stops carving (zero means DefaultWindow). Coordinator chunk
-	// bookkeeping is O(workers × Window), independent of sweep size.
+	// chunks in flight per live worker; a pull carves no further (zero
+	// means DefaultWindow). Coordinator chunk bookkeeping is
+	// O(workers × Window), independent of sweep size.
 	Window int
 	// StragglerFactor is the analyzer's flagging threshold k: a worker
 	// whose p50 per-point latency exceeds k× the fleet median is
@@ -48,7 +48,7 @@ type Options struct {
 }
 
 // Coordinator is the fleet's dispatch side: a session.Executor that
-// shards batches into chunks, schedules them across joined workers,
+// carves batches into chunks as joined workers pull them,
 // commits returned results through the engine's singleflight store,
 // and falls back to local evaluation whenever the fleet cannot help
 // (no live workers, a spec that cannot travel, mid-batch total worker
@@ -238,11 +238,11 @@ func (b *batch) settle(pos int, res workload.Result, err error) {
 }
 
 // chunkTarget is the cold-start chunk size: points spread four chunks
-// deep per live worker — enough granularity for stealing to rebalance,
-// few enough that the per-chunk HTTP round trip amortizes. The clamp
-// is maxChunkPoints (256): with windowed dispatch the chunk count no
-// longer scales with sweep size (the scheduler carves lazily, at most
-// window chunks per worker), so the old 32-point ceiling — which at
+// deep per live worker — enough granularity for pulls to balance the
+// fleet, few enough that the per-chunk HTTP round trip amortizes. The
+// clamp is maxChunkPoints (256): with pull-time carving the chunk count
+// no longer scales with sweep size (at most window chunks per worker
+// exist at once), so the old 32-point ceiling — which at
 // 100k points forced 3000+ resident chunk structs — would only add
 // round trips. Once a worker's throughput is measured, the adaptive
 // sizer (scheduler.sizeFor) takes over and this formula is just the
@@ -315,8 +315,8 @@ func expansionMap(sp scenario.Spec, jobs []engine.Job) (identity bool, expOf []i
 }
 
 // ExecuteBatch implements session.Executor: probe the shared store,
-// serve resident points locally, shard the cold remainder into chunks
-// dispatched across the fleet, and commit worker results as they land.
+// serve resident points locally, hand the cold remainder to the
+// scheduler as one chunk source, and commit worker results as they land.
 // Ordering, cancellation semantics and error text are byte-identical
 // to engine.RunBatchFunc — the session layer cannot tell the paths
 // apart.
@@ -360,7 +360,7 @@ func (c *Coordinator) ExecuteBatch(ctx context.Context, sp scenario.Spec, jobs [
 	// flight), dispatchable (feed the chunk source), or
 	// wire-inexpressible (local). The dispatch set is kept as
 	// contiguous expansion-index runs, not chunk structs: the scheduler
-	// carves chunks from it lazily as workers drain their windows.
+	// carves chunks from it as workers pull.
 	var local []int   // batch positions served here
 	var runs []span   // dispatchable expansion indexes, compressed
 	var dispExp []int // non-identity only: dispatched expansion indexes
@@ -432,11 +432,11 @@ func (c *Coordinator) ExecuteBatch(ctx context.Context, sp scenario.Spec, jobs [
 			c.drop(b)
 			return engine.CancelError(ctx.Err())
 		case <-check.C:
-			if orphans := c.sched.reclaim(b); len(orphans) > 0 {
+			if reclaimed := c.sched.reclaim(b); len(reclaimed) > 0 {
 				// Every worker is gone; finish their chunks ourselves.
 				c.fellBack.Add(1)
 				var positions []int
-				for _, ch := range orphans {
+				for _, ch := range reclaimed {
 					for _, exp := range ch.indexes {
 						if pos, ok := b.pos(exp); ok {
 							positions = append(positions, pos)
@@ -602,7 +602,6 @@ func (c *Coordinator) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /fleet/v1/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /fleet/v1/leave", c.handleLeave)
 	mux.HandleFunc("POST /fleet/v1/work", c.handleWork)
-	mux.HandleFunc("POST /fleet/v1/result", c.handleResult)
 	mux.HandleFunc("POST /fleet/v1/results", c.handleResults)
 	mux.HandleFunc("GET /fleet/v1/stats", c.handleStats)
 }
@@ -653,15 +652,7 @@ func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
-	legacy := req.MaxChunks <= 0
-	max := req.MaxChunks
-	if legacy {
-		max = 1
-	}
-	if max > maxWorkChunks {
-		max = maxWorkChunks
-	}
-	chunks, err := c.sched.pullN(r.Context(), req.WorkerID, max)
+	chunks, err := c.sched.pullN(r.Context(), req.WorkerID, min(max(req.MaxChunks, 1), maxWorkChunks))
 	if err != nil {
 		if errors.Is(err, errUnknownWorker) {
 			httpErr(w, http.StatusNotFound, err)
@@ -673,11 +664,6 @@ func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	if legacy {
-		ch := chunks[0]
-		writeJSON(w, r, WireChunk{ID: ch.id, Spec: ch.b.encoded, Indexes: ch.indexes})
-		return
-	}
 	out := WireWork{Chunks: make([]WireChunk, len(chunks))}
 	for i, ch := range chunks {
 		out.Chunks[i] = WireChunk{ID: ch.id, Spec: ch.b.encoded, Indexes: ch.indexes}
@@ -685,30 +671,7 @@ func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, r, out)
 }
 
-// countPost records one accepted result post's wire accounting.
-func (c *Coordinator) countPost(n int64, gzipped bool) {
-	c.resultPosts.Add(1)
-	if gzipped {
-		c.resultPostsGzip.Add(1)
-	}
-	if n > 0 {
-		c.resultWireBytes.Add(uint64(n))
-	}
-}
-
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	gzipped := r.Header.Get("Content-Encoding") == "gzip"
-	var cr ChunkResult
-	if err := decodeBody(r.Body, gzipped, &cr); err != nil {
-		httpErr(w, http.StatusBadRequest, err)
-		return
-	}
-	c.countPost(r.ContentLength, gzipped)
-	c.resolveChunk(cr)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleResults is the coalesced return path: one post carrying every
+// handleResults is the result return path: one post carrying every
 // chunk the worker finished since its last pull, usually gzipped.
 func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	gzipped := r.Header.Get("Content-Encoding") == "gzip"
@@ -717,7 +680,13 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
-	c.countPost(r.ContentLength, gzipped)
+	c.resultPosts.Add(1)
+	if gzipped {
+		c.resultPostsGzip.Add(1)
+	}
+	if r.ContentLength > 0 {
+		c.resultWireBytes.Add(uint64(r.ContentLength))
+	}
 	for i := range rb.Results {
 		cr := rb.Results[i]
 		if cr.WorkerID == "" {
@@ -734,10 +703,9 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // writeJSON writes v as JSON, gzip-compressing through the pooled
 // writer when the client advertised Accept-Encoding: gzip and the body
-// clears the compression floor — this is what lets a deep-queue
-// multi-chunk work response travel cheaply. Go's default HTTP
-// transport always advertises gzip and decompresses transparently, so
-// PR-9 workers benefit without knowing.
+// clears the compression floor — this is what lets a multi-chunk work
+// response travel cheaply. Go's default HTTP transport always
+// advertises gzip and decompresses transparently.
 func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	b, err := json.Marshal(v)

@@ -462,12 +462,14 @@ func TestWorkerDegradedStoreSelfEvicts(t *testing.T) {
 	}
 }
 
-// The acceptance criterion: with N in-process workers and a synthetic
-// per-point latency, a cold sweep speeds up by at least 0.7N over the
-// serial baseline (T1 = points x delay — what one evaluator paying the
-// same per-point cost would take). The point count scales through
-// FLEET_SPEEDUP_POINTS.
-func TestFleetSpeedup(t *testing.T) {
+// Scheduler scaling: with N in-process workers each sleeping a
+// synthetic 5ms per point, a cold sweep finishes at least 0.7N times
+// faster than the serial baseline (T1 = points x delay — what one
+// evaluator paying the same per-point cost would take). The injected
+// delay dwarfs the model's microsecond solve, so this shows that
+// dispatch keeps N workers busy, not that the fleet pays for the
+// analytic model. The point count scales through FLEET_SPEEDUP_POINTS.
+func TestFleetSchedulerScalesUnderInjectedDelay(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews the wall-clock speedup assertion")
 	}

@@ -5,12 +5,10 @@ package fleet
 //
 //	POST /fleet/v1/join       JoinRequest   -> JoinReply
 //	POST /fleet/v1/heartbeat  Heartbeat     -> 204 (404: unknown worker, rejoin)
-//	POST /fleet/v1/leave      Heartbeat     -> 204 (queued chunks re-queue)
-//	POST /fleet/v1/work       WorkRequest   -> WireChunk (max_chunks absent)
-//	                                           or WireWork (max_chunks > 0),
-//	                                           or 204 after the long-poll window
-//	POST /fleet/v1/result     ChunkResult   -> 204
-//	POST /fleet/v1/results    ResultBatch   -> 204 (coalesced posts)
+//	POST /fleet/v1/leave      Heartbeat     -> 204 (in-flight chunks re-queue)
+//	POST /fleet/v1/work       WorkRequest   -> WireWork, or 204 after the
+//	                                           long-poll window
+//	POST /fleet/v1/results    ResultBatch   -> 204 (one post per pull)
 //	GET  /fleet/v1/stats      -> FleetStats (straggler analyzer)
 //
 // Results travel as the solved quantities only: like the disk store's
@@ -21,15 +19,13 @@ package fleet
 // same guarantee the v1 segment codec pins with its round-trip fuzz
 // test.
 //
-// Compatibility is negotiated request-side so a PR-9 worker keeps
-// working against a newer coordinator: every extension rides on fields
-// the worker chooses to send (max_chunks, elapsed_us, a gzip
-// Content-Encoding header on posts, the /results endpoint) and the
-// coordinator answers in kind — a request without them gets the
-// original single-chunk, plain-JSON exchange. Response compression
-// needs no protocol at all: Go's HTTP transport advertises
-// Accept-Encoding: gzip and decompresses transparently on both old and
-// new workers.
+// There is one protocol version and no negotiation: every body is
+// decoded strictly (internal/jsoncodec), so a version-skewed worker
+// or coordinator fails its first exchange loudly instead of silently
+// dropping fields. Result posts carry a gzip Content-Encoding header
+// past the compression floor; response compression needs no protocol
+// at all, since Go's HTTP transport advertises Accept-Encoding: gzip
+// and decompresses transparently.
 
 import (
 	"bytes"
@@ -39,6 +35,7 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/jsoncodec"
 	"repro/internal/workload"
 )
 
@@ -64,20 +61,17 @@ type Heartbeat struct {
 	WorkerID string `json:"worker_id"`
 }
 
-// WorkRequest pulls the next chunk for a worker; the coordinator holds
+// WorkRequest pulls the next chunks for a worker; the coordinator holds
 // the request up to its poll window when no work is available.
 type WorkRequest struct {
 	WorkerID string `json:"worker_id"`
-	// MaxChunks advertises how many chunks the worker accepts per
-	// long-poll. Absent or zero (a PR-9 worker) keeps the legacy
-	// single-WireChunk response; positive switches the response to a
-	// WireWork document carrying up to that many chunks when the
-	// worker's queue is deep.
+	// MaxChunks is how many chunks the worker accepts per long-poll,
+	// clamped to [1, 16]; the worker's free dispatch window bounds the
+	// reply further.
 	MaxChunks int `json:"max_chunks,omitempty"`
 }
 
-// WireWork is the multi-chunk work response, sent only to workers that
-// negotiated it via WorkRequest.MaxChunks.
+// WireWork is the work response: the chunks carved for this pull.
 type WireWork struct {
 	Chunks []WireChunk `json:"chunks"`
 }
@@ -117,14 +111,14 @@ type ChunkResult struct {
 	Points   []PointResult `json:"points,omitempty"`
 	Error    string        `json:"error,omitempty"`
 	// ElapsedUS self-reports the chunk's evaluation wall time in
-	// microseconds — the adaptive sizer's preferred throughput sample,
-	// free of queueing and post-coalescing delay. Absent (a PR-9
-	// worker) the coordinator falls back to the pull→post interval.
+	// microseconds — the adaptive sizer's throughput sample, free of
+	// queueing and post-coalescing delay. A chunk posted without a
+	// positive one is accepted but not sampled.
 	ElapsedUS int64 `json:"elapsed_us,omitempty"`
 }
 
-// ResultBatch coalesces several completed chunks into one POST — the
-// multi-chunk pull's return path (/fleet/v1/results).
+// ResultBatch coalesces a pull's completed chunks into one POST to
+// /fleet/v1/results.
 type ResultBatch struct {
 	WorkerID string        `json:"worker_id"`
 	Results  []ChunkResult `json:"results"`
@@ -134,19 +128,13 @@ type ResultBatch struct {
 // few KiB and a chunk result carries tens of ~400-byte points.
 const maxBodyBytes = 8 << 20
 
-// decodeStrict parses one JSON document, rejecting unknown fields at
-// every nesting level and trailing data — the same codec convention as
-// the scenario, traffic and faultline file formats, applied to the
-// wire so a version-skewed fleet fails loudly instead of silently
-// dropping fields.
+// decodeStrict decodes one protocol body (at most maxBodyBytes) with
+// the shared strict decoder, the same codec as the scenario, traffic
+// and fault-plan file formats. It reads the body straight into the
+// decoder: a result post is not copied into a buffer of its own first.
 func decodeStrict(r io.Reader, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := jsoncodec.DecodeStrictReader(io.LimitReader(r, maxBodyBytes), v); err != nil {
 		return fmt.Errorf("fleet: decoding %T: %w", v, err)
-	}
-	if dec.More() {
-		return fmt.Errorf("fleet: %T: trailing data", v)
 	}
 	return nil
 }

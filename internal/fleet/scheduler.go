@@ -14,23 +14,19 @@ type chunk struct {
 	id      uint64
 	b       *batch
 	indexes []int
-	// pulledAt stamps the dispatch (first pull); completion latency
-	// feeds the puller's EWMA when the worker does not self-report.
-	pulledAt time.Time
 	// resolved flips when the chunk's results have been accepted (or
-	// its batch dropped); copies still sitting in a queue after a
-	// requeue race are lazily skipped.
+	// its batch dropped); a resolved chunk still on the requeue list (a
+	// zombie's post won the race) is skipped lazily.
 	resolved bool
 }
 
 // workerState is the scheduler's view of one registered worker.
 type workerState struct {
-	id     string
-	name   string
-	joined int // join sequence, the round-robin and steal tiebreak order
-	queue  chunkQueue
+	id   string
+	name string
 	// inflight holds chunks pulled but not yet resolved, keyed by chunk
-	// id — what gets re-queued whole if the worker goes silent.
+	// id: what the dispatch window bounds, and what is re-queued whole
+	// if the worker goes silent.
 	inflight map[uint64]*chunk
 	lastBeat time.Time
 
@@ -44,35 +40,23 @@ type workerState struct {
 	lastChunkSize int
 }
 
-// Assignment is one entry of the scheduler's placement trace: which
-// worker a chunk went to, and how. Kind is "assign" (round-robin
-// placement), "steal" (an idle worker took it from the back of the
-// victim's queue) or "requeue" (re-placed after its worker died or
-// left). The trace is the determinism contract's witness: the same
-// batch against the same worker set yields the identical assign
-// sequence (see EnableTrace and the scheduler tests).
-type Assignment struct {
-	Chunk  uint64
-	Worker string
-	Kind   string
-}
-
 // Stats is the coordinator's health-report block: fleet membership and
 // chunk-flow counters.
 type Stats struct {
-	Workers  int `json:"workers"` // live registrations
-	Dead     int `json:"dead"`    // cumulative reaped (heartbeat silence)
-	Left     int `json:"left"`    // cumulative graceful leaves
+	Workers int `json:"workers"` // live registrations
+	Dead    int `json:"dead"`    // cumulative reaped (heartbeat silence)
+	Left    int `json:"left"`    // cumulative graceful leaves
+	// Pending counts the unresolved chunks on the requeue list: taken
+	// back from a dead or departed worker, waiting for the next pull.
 	Pending  int `json:"chunks_pending"`
 	InFlight int `json:"chunks_in_flight"`
 
 	Dispatched uint64 `json:"chunks_dispatched"`
 	Completed  uint64 `json:"chunks_completed"`
-	Stolen     uint64 `json:"chunks_stolen"`
 	Requeued   uint64 `json:"chunks_requeued"`
 
 	// ChunksLive / ChunksLiveMax count materialized-but-unresolved chunk
-	// structs (now / high-water): with windowed dispatch the max stays
+	// structs (now / high-water): with pull-time carving the max stays
 	// O(workers × window) no matter how many points a batch holds — the
 	// bound the 100k-point counter test asserts.
 	ChunksLive    int `json:"chunks_live"`
@@ -86,15 +70,17 @@ type Stats struct {
 // rejoin (its chunks were re-queued when it was declared dead).
 var errUnknownWorker = fmt.Errorf("fleet: unknown worker")
 
-// scheduler is the coordinator's chunk placement state: per-worker
-// deques, the orphan queue (chunks with no live worker to hold them),
-// and the pull/steal/requeue machinery. One mutex guards it all —
-// operations are map/deque manipulations, never evaluation.
+// scheduler is the coordinator's dispatch state. Chunks are carved
+// when a worker pulls, never ahead of the pull: each batch is one
+// ordered chunkSource, chunks taken back from evicted workers wait on
+// one id-ordered requeue list, and each worker's in-flight set is
+// bounded by the window. One mutex guards it all — operations are slice
+// and map manipulations, never evaluation.
 type scheduler struct {
 	heartbeat time.Duration
 	deadAfter time.Duration
 	poll      time.Duration
-	window    int     // max queued+in-flight chunks per worker
+	window    int     // max in-flight chunks per worker
 	straggler float64 // straggler flag threshold k
 	now       func() time.Time
 
@@ -105,25 +91,23 @@ type scheduler struct {
 
 	workers map[string]*workerState
 	order   []*workerState // live workers in join order
-	rr      int            // round-robin assignment cursor
-	orphans chunkQueue
+	// requeue holds evicted workers' unresolved chunks in id order; a
+	// pull drains it before carving anything fresh.
+	requeue []*chunk
 	// sources are the active batches' lazy chunk cursors, registration
-	// order; refill carves from the front one until it runs dry.
+	// order; a pull carves from the front one until it runs dry.
 	sources []*chunkSource
 	// outstanding tracks every unresolved chunk by id, wherever it
 	// sits, so a result can be accepted from any worker (including a
 	// zombie whose chunk was already re-queued but not yet recomputed).
 	outstanding map[uint64]*chunk
 	// chunksLive / maxChunksLive count materialized unresolved chunks —
-	// the windowed-dispatch memory bound's witness.
+	// the dispatch window's memory bound's witness.
 	chunksLive    int
 	maxChunksLive int
 
-	trace   []Assignment
-	traceOn bool
-
-	dead, left                              int
-	dispatched, completed, stolen, requeued uint64
+	dead, left                      int
+	dispatched, completed, requeued uint64
 }
 
 func newScheduler(heartbeat, deadAfter, poll time.Duration, window int, straggler float64, now func() time.Time) *scheduler {
@@ -156,28 +140,6 @@ func (s *scheduler) wakeAll() {
 	s.wake = make(chan struct{})
 }
 
-// record appends a trace entry when tracing is on. Callers hold mu.
-func (s *scheduler) record(c *chunk, w *workerState, kind string) {
-	if s.traceOn {
-		s.trace = append(s.trace, Assignment{Chunk: c.id, Worker: w.id, Kind: kind})
-	}
-}
-
-// EnableTrace turns on assignment tracing (tests); Trace snapshots it.
-func (s *scheduler) EnableTrace() {
-	s.mu.Lock()
-	s.traceOn = true
-	s.mu.Unlock()
-}
-
-func (s *scheduler) Trace() []Assignment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Assignment, len(s.trace))
-	copy(out, s.trace)
-	return out
-}
-
 // join registers a worker and returns its assigned identity.
 func (s *scheduler) join(name string) JoinReply {
 	s.mu.Lock()
@@ -186,16 +148,11 @@ func (s *scheduler) join(name string) JoinReply {
 	w := &workerState{
 		id:       fmt.Sprintf("w-%06d", s.seq),
 		name:     name,
-		joined:   s.seq,
 		inflight: make(map[uint64]*chunk),
 		lastBeat: s.now(),
 	}
 	s.workers[w.id] = w
 	s.order = append(s.order, w)
-	// A fresh worker means carving capacity; top its window up and let
-	// idle pulls re-check.
-	s.refill()
-	s.wakeAll()
 	return JoinReply{
 		WorkerID:    w.id,
 		HeartbeatMS: s.heartbeat.Milliseconds(),
@@ -247,9 +204,8 @@ func (s *scheduler) reap() {
 	}
 }
 
-// evict removes a worker and re-queues its unresolved chunks whole —
-// queued and in-flight alike — round-robin over the survivors (the
-// orphan queue when there are none). Callers hold mu.
+// evict removes a worker and moves its unresolved in-flight chunks,
+// whole, onto the requeue list. Callers hold mu.
 func (s *scheduler) evict(w *workerState) {
 	delete(s.workers, w.id)
 	for i, o := range s.order {
@@ -258,171 +214,34 @@ func (s *scheduler) evict(w *workerState) {
 			break
 		}
 	}
-	chunks := w.queue.drain(nil)
 	for _, c := range w.inflight {
-		chunks = append(chunks, c)
-	}
-	// In-flight map iteration is unordered; requeue deterministically by
-	// chunk id so recovery placement is reproducible too.
-	sortChunks(chunks)
-	for _, c := range chunks {
-		if c.resolved {
-			continue
+		if !c.resolved {
+			s.requeued++
+			s.requeue = append(s.requeue, c)
 		}
-		s.requeued++
-		s.place(c, "requeue")
 	}
-	// The survivors inherited the dead worker's chunks; top up whatever
-	// window capacity remains.
-	s.refill()
+	// In-flight map iteration is unordered; keep the list id-sorted so
+	// recovery hands chunks out in a reproducible order.
+	sortChunks(s.requeue)
 	s.wakeAll()
 }
 
-// place assigns one chunk round-robin over the live workers in join
-// order, or parks it with the orphans. Callers hold mu.
-func (s *scheduler) place(c *chunk, kind string) {
-	if len(s.order) == 0 {
-		s.orphans.push(c)
-		return
-	}
-	w := s.order[s.rr%len(s.order)]
-	s.rr++
-	w.queue.push(c)
-	s.record(c, w, kind)
-}
-
-// enqueue places pre-materialized chunks across the fleet and wakes
-// pullers. The coordinator's batch path registers a lazy chunkSource
-// via addSource instead; enqueue remains for scheduler-level tests and
-// small fixed chunk sets.
-func (s *scheduler) enqueue(chunks []*chunk) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range chunks {
-		s.admit(c)
-		s.place(c, "assign")
-	}
-	s.wakeAll()
-}
-
-// admit assigns a fresh chunk its id and registers it outstanding,
-// maintaining the live-chunk counters. Callers hold mu.
-func (s *scheduler) admit(c *chunk) {
-	s.next++
-	c.id = s.next
-	s.outstanding[c.id] = c
-	s.chunksLive++
-	if s.chunksLive > s.maxChunksLive {
-		s.maxChunksLive = s.chunksLive
-	}
-}
-
-// addSource registers a batch's lazy chunk cursor and carves the first
-// window of chunks.
+// addSource registers a batch's lazy chunk cursor and wakes idle pulls
+// to carve from it.
 func (s *scheduler) addSource(src *chunkSource) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sources = append(s.sources, src)
-	s.refill()
 	s.wakeAll()
 }
 
-// refill tops every worker's deque up to the dispatch window, carving
-// chunks lazily from the front source. One chunk per worker per pass,
-// workers in join order — the same round-robin placement order the
-// upfront sharding produced, now interleaved with completions.
-// Callers hold mu.
-func (s *scheduler) refill() {
-	for len(s.sources) > 0 && len(s.order) > 0 {
-		progressed := false
-		for _, w := range s.order {
-			if w.queue.len()+len(w.inflight) >= s.window {
-				continue
-			}
-			c := s.carve(w)
-			if c == nil {
-				return
-			}
-			w.queue.push(c)
-			s.record(c, w, "assign")
-			progressed = true
-		}
-		if !progressed {
-			return
-		}
-	}
-}
-
-// carve materializes the next chunk for w from the first non-exhausted
-// source, sized by w's measured throughput. Callers hold mu.
-func (s *scheduler) carve(w *workerState) *chunk {
-	for len(s.sources) > 0 {
-		src := s.sources[0]
-		c := src.next(s.sizeFor(w, src))
-		if c == nil {
-			s.sources = s.sources[1:]
-			continue
-		}
-		w.lastChunkSize = len(c.indexes)
-		s.admit(c)
-		return c
-	}
-	return nil
-}
-
-// sizeFor returns the next chunk size to carve for w: the batch's
-// static seed until the worker has a measured throughput, then the
-// worker's EWMA points/sec times the sizing horizon — slow workers get
-// proportionally smaller chunks. Two guards bound it: the remaining
-// work split at least two ways per live worker (so the sweep tail
-// stays stealable), and the hard [minChunkPoints, maxChunkPoints]
-// clamp. Callers hold mu.
-func (s *scheduler) sizeFor(w *workerState, src *chunkSource) int {
-	size := src.seed
-	if w != nil && w.ewmaPps > 0 {
-		size = int(w.ewmaPps*s.horizon().Seconds() + 0.5)
-	}
-	if n := len(s.order); n > 0 {
-		if tail := (src.remaining + 2*n - 1) / (2 * n); size > tail {
-			size = tail
-		}
-	}
-	if size < minChunkPoints {
-		size = minChunkPoints
-	}
-	if size > maxChunkPoints {
-		size = maxChunkPoints
-	}
-	return size
-}
-
-// horizon is the wall time one adaptively sized chunk should represent:
-// a few long-poll windows, so a worker's queue outlives its round trips
-// without any single chunk monopolizing the tail.
-func (s *scheduler) horizon() time.Duration { return 4 * s.poll }
-
-// pull returns the next chunk for a worker (nil on an empty poll
-// window); see pullN.
-func (s *scheduler) pull(ctx context.Context, id string) (*chunk, error) {
-	chunks, err := s.pullN(ctx, id, 1)
-	if err != nil || len(chunks) == 0 {
-		return nil, err
-	}
-	return chunks[0], nil
-}
-
-// pullN returns up to max chunks for a worker: the front of its own
-// (window-refilled) queue, orphans, or — when all are empty — the back
-// of the longest live queue (a steal from the straggler). Only the
-// first chunk may be stolen; extras come from the worker's own share,
-// so a deep queue drains multi-chunk per long-poll without one worker
-// stripping another. With no work anywhere it parks up to the poll
+// pullN returns up to max chunks for a worker, never more than its free
+// window (window minus in flight): unresolved chunks from the requeue
+// list first, then fresh chunks carved from the front source and sized
+// for this worker. With nothing to hand out it parks up to the poll
 // window and retries, returning an empty slice on timeout. A pull
 // refreshes the worker's heartbeat.
 func (s *scheduler) pullN(ctx context.Context, id string, max int) ([]*chunk, error) {
-	if max < 1 {
-		max = 1
-	}
 	timeout := time.NewTimer(s.poll)
 	defer timeout.Stop()
 	for {
@@ -433,22 +252,7 @@ func (s *scheduler) pullN(ctx context.Context, id string, max int) ([]*chunk, er
 			return nil, errUnknownWorker
 		}
 		w.lastBeat = s.now()
-		s.refill()
-		if c := s.take(w); c != nil {
-			pulled := s.now()
-			out := []*chunk{c}
-			for len(out) < max {
-				extra := s.takeOwn(w)
-				if extra == nil {
-					break
-				}
-				out = append(out, extra)
-			}
-			for _, c := range out {
-				c.pulledAt = pulled
-				w.inflight[c.id] = c
-				s.dispatched++
-			}
+		if out := s.take(w, min(max, s.window-len(w.inflight))); len(out) > 0 {
 			s.mu.Unlock()
 			return out, nil
 		}
@@ -464,66 +268,90 @@ func (s *scheduler) pullN(ctx context.Context, id string, max int) ([]*chunk, er
 	}
 }
 
-// take pops the next unresolved chunk for a worker. Callers hold mu.
-func (s *scheduler) take(w *workerState) *chunk {
-	for c := w.queue.popFront(); c != nil; c = w.queue.popFront() {
+// take hands w up to n chunks, requeued before fresh, and records them
+// in flight. Callers hold mu.
+func (s *scheduler) take(w *workerState, n int) []*chunk {
+	var out []*chunk
+	for len(out) < n && len(s.requeue) > 0 {
+		c := s.requeue[0]
+		s.requeue = s.requeue[1:]
 		if !c.resolved {
-			return c
+			out = append(out, c)
 		}
 	}
-	for c := s.orphans.popFront(); c != nil; c = s.orphans.popFront() {
-		if !c.resolved {
-			s.record(c, w, "requeue")
-			return c
+	for len(out) < n {
+		c := s.carve(w)
+		if c == nil {
+			break
 		}
+		out = append(out, c)
 	}
-	// Steal from the longest live queue, join order breaking ties — the
-	// victim keeps its front (oldest) chunks, the thief takes the back.
-	var victim *workerState
-	for _, o := range s.order {
-		if o != w && o.queue.len() > 0 && (victim == nil || o.queue.len() > victim.queue.len()) {
-			victim = o
-		}
+	for _, c := range out {
+		w.inflight[c.id] = c
+		s.dispatched++
 	}
-	if victim != nil {
-		for c := victim.queue.popBack(); c != nil; c = victim.queue.popBack() {
-			if !c.resolved {
-				s.stolen++
-				s.record(c, w, "steal")
-				return c
-			}
+	return out
+}
+
+// carve materializes the next chunk for w from the first non-exhausted
+// source, sized by w's measured throughput, and registers it
+// outstanding. Callers hold mu.
+func (s *scheduler) carve(w *workerState) *chunk {
+	for len(s.sources) > 0 {
+		src := s.sources[0]
+		c := src.next(s.sizeFor(w, src))
+		if c == nil {
+			s.sources = s.sources[1:]
+			continue
 		}
+		w.lastChunkSize = len(c.indexes)
+		s.next++
+		c.id = s.next
+		s.outstanding[c.id] = c
+		s.chunksLive++
+		s.maxChunksLive = max(s.maxChunksLive, s.chunksLive)
+		return c
 	}
 	return nil
 }
 
-// takeOwn pops the next unresolved chunk from the worker's own queue or
-// the orphans — the no-steal subset of take, for multi-chunk pulls.
-// Callers hold mu.
-func (s *scheduler) takeOwn(w *workerState) *chunk {
-	for c := w.queue.popFront(); c != nil; c = w.queue.popFront() {
-		if !c.resolved {
-			return c
-		}
+// sizeFor returns the next chunk size to carve for w: the batch's
+// static seed until the worker has a measured throughput, then the
+// worker's EWMA points/sec times the sizing horizon — slow workers get
+// proportionally smaller chunks. Two guards bound it: the remaining
+// work split at least two ways per live worker (so the sweep tail
+// spreads across the fleet instead of landing on one puller), and the
+// hard [minChunkPoints, maxChunkPoints] clamp. Callers hold mu.
+func (s *scheduler) sizeFor(w *workerState, src *chunkSource) int {
+	size := src.seed
+	if w.ewmaPps > 0 {
+		size = int(w.ewmaPps*s.horizon().Seconds() + 0.5)
 	}
-	for c := s.orphans.popFront(); c != nil; c = s.orphans.popFront() {
-		if !c.resolved {
-			s.record(c, w, "requeue")
-			return c
-		}
+	n := len(s.order) // the puller is live, so n >= 1
+	if tail := (src.remaining + 2*n - 1) / (2 * n); size > tail {
+		size = tail
 	}
-	return nil
+	if size < minChunkPoints {
+		size = minChunkPoints
+	}
+	if size > maxChunkPoints {
+		size = maxChunkPoints
+	}
+	return size
 }
+
+// horizon is the wall time one adaptively sized chunk should represent:
+// a few long-poll windows, so a worker's pulled chunks outlive its
+// round trips without any single chunk monopolizing the tail.
+func (s *scheduler) horizon() time.Duration { return 4 * s.poll }
 
 // complete accepts a chunk's results: the chunk is resolved wherever it
 // currently sits, and the posting worker's in-flight slot is cleared.
 // elapsedUS is the worker's self-reported evaluation wall time for the
-// chunk (0 falls back to the pull→post interval on the scheduler's own
-// clock); it feeds the worker's EWMA throughput and latency ring, then
-// freed window capacity is re-carved. It returns nil when the chunk is
-// unknown or already resolved (a zombie's late post after a
-// requeue-and-recompute, or a dropped batch) — the caller discards the
-// results.
+// chunk; a positive one feeds the worker's EWMA throughput and latency
+// ring. It returns nil when the chunk is unknown or already resolved (a
+// zombie's late post after a requeue-and-recompute, or a dropped
+// batch) — the caller discards the results.
 func (s *scheduler) complete(workerID string, chunkID uint64, elapsedUS int64) *chunk {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -543,21 +371,17 @@ func (s *scheduler) complete(workerID string, chunkID uint64, elapsedUS int64) *
 	if w != nil {
 		s.observe(w, c, elapsedUS)
 	}
-	s.refill()
-	s.wakeAll()
 	return c
 }
 
 // observe folds one completed chunk into the posting worker's
-// throughput EWMA and latency ring. Callers hold mu.
+// throughput EWMA and latency ring; a chunk posted without a positive
+// elapsed time counts as done but is not sampled. Callers hold mu.
 func (s *scheduler) observe(w *workerState, c *chunk, elapsedUS int64) {
 	points := len(c.indexes)
 	w.chunksDone++
 	w.pointsDone += uint64(points)
 	elapsed := time.Duration(elapsedUS) * time.Microsecond
-	if elapsedUS <= 0 && !c.pulledAt.IsZero() {
-		elapsed = s.now().Sub(c.pulledAt)
-	}
 	if elapsed <= 0 || points == 0 {
 		return
 	}
@@ -571,7 +395,7 @@ func (s *scheduler) observe(w *workerState, c *chunk, elapsedUS int64) {
 }
 
 // dropBatch resolves every outstanding chunk of a batch (cancellation)
-// and removes its chunk source: queued copies are skipped lazily,
+// and removes its chunk source: requeued copies are skipped lazily,
 // in-flight results will be discarded on arrival, the uncarved
 // remainder is never materialized.
 func (s *scheduler) dropBatch(b *batch) {
@@ -600,7 +424,7 @@ func (s *scheduler) removeSource(b *batch) {
 }
 
 // reclaim hands a batch's unresolved chunks back to the caller —
-// the no-live-workers fallback. Only orphaned chunks can exist then;
+// the no-live-workers fallback. Only requeued chunks can exist then;
 // they are removed from outstanding and returned sorted by id, followed
 // by the batch's uncarved remainder materialized at the maximum chunk
 // size (the caller evaluates locally, so granularity no longer
@@ -614,7 +438,7 @@ func (s *scheduler) reclaim(b *batch) []*chunk {
 	var out []*chunk
 	for id, c := range s.outstanding {
 		if c.b == b {
-			c.resolved = true // queued copies skip lazily
+			c.resolved = true // the requeue list skips it lazily
 			delete(s.outstanding, id)
 			s.chunksLive--
 			out = append(out, c)
@@ -651,14 +475,16 @@ func (s *scheduler) stats() Stats {
 		Left:          s.left,
 		Dispatched:    s.dispatched,
 		Completed:     s.completed,
-		Stolen:        s.stolen,
 		Requeued:      s.requeued,
 		ChunksLive:    s.chunksLive,
 		ChunksLiveMax: s.maxChunksLive,
 	}
-	st.Pending = s.orphans.unresolved()
+	for _, c := range s.requeue {
+		if !c.resolved {
+			st.Pending++
+		}
+	}
 	for _, w := range s.order {
-		st.Pending += w.queue.unresolved()
 		st.InFlight += len(w.inflight)
 	}
 	for _, r := range s.healthLocked() {
@@ -688,7 +514,6 @@ func (s *scheduler) healthLocked() []WorkerHealth {
 		rows = append(rows, WorkerHealth{
 			ID:            w.id,
 			Name:          w.name,
-			QueueDepth:    w.queue.unresolved(),
 			InFlight:      len(w.inflight),
 			ChunksDone:    w.chunksDone,
 			PointsDone:    w.pointsDone,
@@ -736,8 +561,8 @@ func (s *scheduler) measuredLocked() int {
 	return n
 }
 
-// sortChunks orders chunks by id (insertion sort; requeue sets are a
-// handful of chunks).
+// sortChunks orders chunks by id (insertion sort; the requeue list is
+// a handful of chunks, already sorted up to the newly appended tail).
 func sortChunks(cs []*chunk) {
 	for i := 1; i < len(cs); i++ {
 		for j := i; j > 0 && cs[j].id < cs[j-1].id; j-- {

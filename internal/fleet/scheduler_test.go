@@ -8,121 +8,68 @@ import (
 	"time"
 )
 
-// schedOpts is the test cadence; the fake clock makes liveness
-// decisions explicit.
+// testScheduler builds a scheduler on the test cadence; the fake clock
+// makes liveness decisions explicit.
 func testScheduler(now *time.Time) *scheduler {
 	return newScheduler(25*time.Millisecond, 100*time.Millisecond, 10*time.Millisecond,
 		0, 0, func() time.Time { return *now })
 }
 
-func mkChunks(b *batch, n int) []*chunk {
-	out := make([]*chunk, n)
-	for i := range out {
-		out[i] = &chunk{b: b, indexes: []int{i}}
+// addBatch registers a cold identity batch of n points whose chunks
+// carve at seed points each (until the tail guard shrinks them).
+func addBatch(s *scheduler, id string, n, seed int) *batch {
+	b := &batch{id: id, identity: true}
+	s.addSource(&chunkSource{b: b, runs: []span{{lo: 0, hi: n}}, seed: seed, remaining: n})
+	return b
+}
+
+// pullMax pulls up to max chunks with an already-cancelled context, so
+// a pull with nothing to hand out returns at once instead of parking
+// out the poll window.
+func pullMax(t *testing.T, s *scheduler, id string, max int) []*chunk {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, err := s.pullN(ctx, id, max)
+	if err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("pullN(%s, %d): %v", id, max, err)
 	}
 	return out
 }
 
-// pullNow pulls with an already-cancelled context so an empty scheduler
-// returns immediately instead of parking out the poll window.
+// pullNow pulls a single chunk without parking (nil when none).
 func pullNow(t *testing.T, s *scheduler, id string) *chunk {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c, err := s.pull(ctx, id)
-	if err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("pull(%s): %v", id, err)
+	if out := pullMax(t, s, id, 1); len(out) > 0 {
+		return out[0]
 	}
-	return c
+	return nil
 }
 
-// The determinism contract: the same chunk set against the same worker
-// set produces the identical assignment trace, run after run.
-func TestSchedulerDeterministicAssignment(t *testing.T) {
-	build := func() []Assignment {
-		now := time.Unix(0, 0)
-		s := testScheduler(&now)
-		s.EnableTrace()
-		for i := 0; i < 3; i++ {
-			s.join("w")
-		}
-		b := &batch{id: "b-1"}
-		s.enqueue(mkChunks(b, 8))
-		return s.Trace()
+func ids(cs []*chunk) []uint64 {
+	out := make([]uint64, len(cs))
+	for i, c := range cs {
+		out[i] = c.id
 	}
-	first := build()
-	if len(first) != 8 {
-		t.Fatalf("trace has %d entries, want 8", len(first))
-	}
-	for i, a := range first {
-		if a.Kind != "assign" {
-			t.Errorf("entry %d kind %q, want assign", i, a.Kind)
-		}
-	}
-	// Round-robin in join order: chunk i lands on worker i mod 3.
-	for i, a := range first {
-		want := []string{"w-000001", "w-000002", "w-000003"}[i%3]
-		if a.Worker != want {
-			t.Errorf("chunk %d on %s, want %s", a.Chunk, a.Worker, want)
-		}
-	}
-	for run := 0; run < 3; run++ {
-		if again := build(); !reflect.DeepEqual(first, again) {
-			t.Fatalf("run %d trace differs:\n%v\n%v", run, first, again)
-		}
-	}
+	return out
 }
 
-// An idle worker steals from the back of the longest queue; the victim
-// keeps its front chunks.
-func TestSchedulerSteal(t *testing.T) {
-	now := time.Unix(0, 0)
-	s := testScheduler(&now)
-	s.EnableTrace()
-	w1 := s.join("one").WorkerID
-	w2 := s.join("two").WorkerID
-	b := &batch{id: "b-1"}
-	s.enqueue(mkChunks(b, 4)) // rr: 1,3 on w1; 2,4 on w2
-
-	// w2 drains its own queue then steals w1's back chunk (id 3).
-	got := []uint64{}
-	for i := 0; i < 3; i++ {
-		c := pullNow(t, s, w2)
-		if c == nil {
-			t.Fatalf("pull %d returned nothing", i)
-		}
-		got = append(got, c.id)
-	}
-	if want := []uint64{2, 4, 3}; !reflect.DeepEqual(got, want) {
-		t.Errorf("w2 pulled %v, want %v (own front, own front, steal back)", got, want)
-	}
-	if s.stats().Stolen != 1 {
-		t.Errorf("stolen = %d, want 1", s.stats().Stolen)
-	}
-	// w1 keeps its oldest chunk.
-	if c := pullNow(t, s, w1); c == nil || c.id != 1 {
-		t.Errorf("w1 pulled %v, want chunk 1", c)
-	}
-	tr := s.Trace()
-	if last := tr[len(tr)-1]; last.Kind != "steal" || last.Chunk != 3 || last.Worker != w2 {
-		t.Errorf("trace steal entry = %+v", last)
-	}
-}
-
-// A silent worker is reaped and its chunks — queued and in-flight alike
-// — re-queue whole onto the survivors, sorted by id.
+// A silent worker is reaped and its in-flight chunks are handed out
+// whole, in id order, before any fresh carve.
 func TestSchedulerReapRequeuesWhole(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := testScheduler(&now)
-	s.EnableTrace()
 	w1 := s.join("one").WorkerID
 	w2 := s.join("two").WorkerID
-	b := &batch{id: "b-1"}
-	s.enqueue(mkChunks(b, 4)) // 1,3 on w1; 2,4 on w2
+	addBatch(s, "b-1", 100, 2)
 
-	// w1 pulls chunk 1 in flight, then goes silent; w2 keeps beating.
-	if c := pullNow(t, s, w1); c == nil || c.id != 1 {
-		t.Fatalf("w1 pull = %v, want chunk 1", c)
+	// w1 holds chunks 1 and 2, w2 holds chunk 3; then w1 goes silent.
+	held := pullMax(t, s, w1, 2)
+	if got := ids(held); !reflect.DeepEqual(got, []uint64{1, 2}) {
+		t.Fatalf("w1 pulled %v, want [1 2]", got)
+	}
+	if c := pullNow(t, s, w2); c == nil || c.id != 3 {
+		t.Fatalf("w2 pulled %v, want chunk 3", c)
 	}
 	now = now.Add(150 * time.Millisecond)
 	if !s.heartbeatFrom(w2) {
@@ -134,58 +81,63 @@ func TestSchedulerReapRequeuesWhole(t *testing.T) {
 	if st.Workers != 1 || st.Dead != 1 {
 		t.Fatalf("stats after reap = %+v, want 1 live 1 dead", st)
 	}
-	if st.Requeued != 2 {
-		t.Errorf("requeued = %d, want 2 (in-flight chunk 1 + queued chunk 3)", st.Requeued)
+	if st.Requeued != 2 || st.Pending != 2 {
+		t.Errorf("requeued/pending = %d/%d, want 2/2", st.Requeued, st.Pending)
 	}
-	if st.InFlight != 0 {
-		t.Errorf("in-flight = %d after evict, want 0", st.InFlight)
+	if st.InFlight != 1 {
+		t.Errorf("in-flight = %d after evict, want w2's 1", st.InFlight)
 	}
-	// Requeue placement is id-sorted: chunk 1 before chunk 3.
-	var requeued []uint64
-	for _, a := range s.Trace() {
-		if a.Kind == "requeue" {
-			requeued = append(requeued, a.Chunk)
-			if a.Worker != w2 {
-				t.Errorf("requeue of %d on %s, want %s", a.Chunk, a.Worker, w2)
-			}
+
+	// w2's free window is 3: the two requeued chunks come first, whole
+	// and id-ordered, then one fresh carve.
+	got := pullMax(t, s, w2, maxWorkChunks)
+	if want := []uint64{1, 2, 4}; !reflect.DeepEqual(ids(got), want) {
+		t.Fatalf("w2 pulled %v, want %v (requeued before fresh)", ids(got), want)
+	}
+	for i := range held {
+		if got[i] != held[i] || !reflect.DeepEqual(got[i].indexes, held[i].indexes) {
+			t.Errorf("requeued chunk %d came back altered: %v, was %v", got[i].id, got[i].indexes, held[i].indexes)
 		}
 	}
-	if want := []uint64{1, 3}; !reflect.DeepEqual(requeued, want) {
-		t.Errorf("requeue order %v, want %v", requeued, want)
+	if st := s.stats(); st.Pending != 0 || st.InFlight != 4 {
+		t.Errorf("after the requeue drained: pending %d in-flight %d, want 0 and 4", st.Pending, st.InFlight)
 	}
 	// The dead worker's id is gone: heartbeat and pull both say rejoin.
 	if s.heartbeatFrom(w1) {
 		t.Error("reaped worker heartbeat accepted")
 	}
-	if _, err := s.pull(context.Background(), w1); !errors.Is(err, errUnknownWorker) {
+	if _, err := s.pullN(context.Background(), w1, 1); !errors.Is(err, errUnknownWorker) {
 		t.Errorf("reaped worker pull err = %v, want errUnknownWorker", err)
 	}
 }
 
 // A zombie's late post still resolves its chunk if nobody recomputed
-// it yet — results are keyed by chunk id, not by who holds the chunk.
+// it yet — results are keyed by chunk id, not by who holds the chunk —
+// and is accepted exactly once.
 func TestSchedulerZombiePostAccepted(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := testScheduler(&now)
 	w1 := s.join("one").WorkerID
 	w2 := s.join("two").WorkerID
-	b := &batch{id: "b-1"}
-	s.enqueue(mkChunks(b, 2))
+	addBatch(s, "b-1", 8, 2)
 	c := pullNow(t, s, w1)
 	if c == nil {
 		t.Fatal("no chunk")
 	}
 	now = now.Add(150 * time.Millisecond)
 	s.heartbeatFrom(w2)
-	s.reap() // w1 dead, chunk re-queued to w2
+	s.reap() // w1 dead, its chunk on the requeue list
 
 	// w1's post races the recompute and wins: accepted once.
 	if got := s.complete(w1, c.id, 0); got != c {
 		t.Fatalf("zombie post rejected: %v", got)
 	}
-	// w2 pulls the requeued copy but it is already resolved — skipped.
-	if got := pullNow(t, s, w2); got != nil && got.id == c.id {
-		t.Error("resolved chunk handed out again")
+	if st := s.stats(); st.Pending != 0 {
+		t.Errorf("pending = %d after the zombie resolved its chunk, want 0", st.Pending)
+	}
+	// The resolved requeue entry is skipped: w2 gets a fresh carve.
+	if got := pullNow(t, s, w2); got == nil || got.id == c.id {
+		t.Errorf("w2 pulled %v, want a fresh chunk, not the resolved %d", got, c.id)
 	}
 	// A second post of the same chunk is stale.
 	if got := s.complete(w2, c.id, 0); got != nil {
@@ -193,28 +145,87 @@ func TestSchedulerZombiePostAccepted(t *testing.T) {
 	}
 }
 
-// With every worker gone, reclaim hands a batch's chunks back for
-// local evaluation — and reports nothing while any worker survives.
+// With every worker gone, reclaim hands a batch back for local
+// evaluation: the requeued chunks in id order, then the uncarved
+// remainder — every point exactly once — and chunk bookkeeping returns
+// to zero. While any worker survives it reports nothing.
 func TestSchedulerReclaim(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := testScheduler(&now)
 	w1 := s.join("one").WorkerID
-	b := &batch{id: "b-1"}
-	s.enqueue(mkChunks(b, 3))
+	b := addBatch(s, "b-1", 10, 2)
+	if held := pullMax(t, s, w1, 2); len(held) != 2 {
+		t.Fatalf("w1 pulled %d chunks, want 2", len(held))
+	}
 	if got := s.reclaim(b); got != nil {
 		t.Fatalf("reclaim with a live worker returned %d chunks", len(got))
 	}
 	s.leave(w1)
 	got := s.reclaim(b)
-	if len(got) != 3 {
-		t.Fatalf("reclaimed %d chunks, want 3", len(got))
+	if len(got) < 3 || got[0].id != 1 || got[1].id != 2 {
+		t.Fatalf("reclaimed %v, want requeued chunks 1 and 2 then the remainder", ids(got))
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1].id >= got[i].id {
-			t.Errorf("reclaim order not id-sorted: %d before %d", got[i-1].id, got[i].id)
+	var points []int
+	for _, c := range got {
+		points = append(points, c.indexes...)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}; !reflect.DeepEqual(points, want) {
+		t.Errorf("reclaimed points %v, want %v", points, want)
+	}
+	if st := s.stats(); st.Pending != 0 || st.ChunksLive != 0 {
+		t.Errorf("pending/live = %d/%d after reclaim, want 0/0", st.Pending, st.ChunksLive)
+	}
+}
+
+// A pull never hands out more than the worker's free window, whatever
+// max_chunks asks for; completions free the window again.
+func TestSchedulerPullBoundedByWindow(t *testing.T) {
+	now := time.Unix(0, 0)
+	s := newScheduler(25*time.Millisecond, 100*time.Millisecond, 10*time.Millisecond,
+		3, 0, func() time.Time { return now })
+	w := s.join("one").WorkerID
+	addBatch(s, "b-1", 100, 1)
+
+	if got := pullMax(t, s, w, 2); len(got) != 2 {
+		t.Fatalf("pull of max 2 returned %d chunks", len(got))
+	}
+	if got := pullMax(t, s, w, maxWorkChunks); len(got) != 1 {
+		t.Fatalf("pull with 1 free slot returned %d chunks", len(got))
+	}
+	if got := pullMax(t, s, w, maxWorkChunks); len(got) != 0 {
+		t.Fatalf("pull with a full window returned %d chunks", len(got))
+	}
+	s.complete(w, 1, 1000)
+	s.complete(w, 2, 1000)
+	if got := pullMax(t, s, w, maxWorkChunks); len(got) != 2 {
+		t.Fatalf("pull after two completions returned %d chunks, want 2", len(got))
+	}
+	if st := s.stats(); st.InFlight != 3 || st.ChunksLiveMax != 3 {
+		t.Errorf("in-flight %d, live max %d; want both at the window, 3", st.InFlight, st.ChunksLiveMax)
+	}
+}
+
+// Batches carve in registration order: the first source runs dry
+// before the second is touched.
+func TestSchedulerCarvesBatchesFIFO(t *testing.T) {
+	now := time.Unix(0, 0)
+	s := testScheduler(&now)
+	w := s.join("one").WorkerID
+	addBatch(s, "b-1", 3, 2)
+	addBatch(s, "b-2", 4, 2)
+	var order []string
+	for c := pullNow(t, s, w); c != nil; c = pullNow(t, s, w) {
+		order = append(order, c.b.id)
+		s.complete(w, c.id, 1000)
+	}
+	seen := map[string]int{}
+	for i, id := range order {
+		seen[id]++
+		if i > 0 && id < order[i-1] {
+			t.Fatalf("carve order %v interleaves batches", order)
 		}
 	}
-	if st := s.stats(); st.Pending != 0 {
-		t.Errorf("pending = %d after reclaim, want 0", st.Pending)
+	if seen["b-1"] == 0 || seen["b-2"] == 0 {
+		t.Errorf("carve order %v misses a batch", order)
 	}
 }

@@ -2,21 +2,20 @@ package fleet
 
 import "sort"
 
-// Windowed dispatch: instead of sharding a batch's whole dispatch set
+// Pull-time carving: instead of sharding a batch's whole dispatch set
 // into chunk structs upfront (at 100k points and the legacy 32-point
 // clamp that is thousands of chunks resident before the first pull),
 // the coordinator registers one chunkSource per batch — a cursor over
 // the dispatch set compressed into ascending expansion-index runs —
-// and the scheduler carves chunks from it lazily, keeping at most
-// Options.Window chunks queued-or-in-flight per live worker. Chunk
+// and the scheduler carves a chunk from it only when a worker pulls,
+// at most Options.Window chunks in flight per live worker. Chunk
 // bookkeeping is therefore O(workers·window), independent of sweep
 // size; the counter test in window_test.go pins the bound.
 
 // DefaultWindow is the per-worker dispatch window: how many chunks may
-// sit queued-or-in-flight on one worker before the scheduler stops
-// carving for it. Small enough to bound coordinator memory and keep
-// the tail stealable, large enough that a worker never idles waiting
-// for the next long-poll round trip.
+// be in flight on one worker before its pulls come back empty. Small
+// enough to bound coordinator memory and spread the tail, large enough
+// that a worker never idles waiting for the next long-poll round trip.
 const DefaultWindow = 4
 
 // DefaultStragglerFactor is the analyzer's flagging threshold: a live
@@ -131,15 +130,13 @@ func (r *latRing) quantile(q float64) float64 {
 }
 
 // WorkerHealth is one worker's row in the fleet stats document: the
-// straggler analyzer's view of its throughput, queue depth and chunk
-// latency distribution.
+// straggler analyzer's view of its throughput, in-flight chunks and
+// chunk latency distribution.
 type WorkerHealth struct {
 	ID   string `json:"id"`
 	Name string `json:"name,omitempty"`
-	// QueueDepth and InFlight are the worker's share of the dispatch
-	// window right now.
-	QueueDepth int `json:"queue_depth"`
-	InFlight   int `json:"in_flight"`
+	// InFlight is the worker's share of the dispatch window right now.
+	InFlight   int    `json:"in_flight"`
 	ChunksDone uint64 `json:"chunks_done"`
 	PointsDone uint64 `json:"points_done"`
 	// PointsPerSec is the EWMA throughput that sizes this worker's next
@@ -165,6 +162,6 @@ type FleetStats struct {
 	// StragglerFactor is the flagging threshold k (p50 > k× median).
 	StragglerFactor float64 `json:"straggler_factor"`
 	// MedianP50PointMS is the fleet median of the per-worker p50s.
-	MedianP50PointMS float64 `json:"median_p50_point_ms"`
+	MedianP50PointMS float64        `json:"median_p50_point_ms"`
 	PerWorker        []WorkerHealth `json:"per_worker,omitempty"`
 }

@@ -394,94 +394,6 @@ func TestEncodePostSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// postJSON posts one document and returns the response body (nil on
-// 204).
-func postJSON(t *testing.T, url string, v any) []byte {
-	t.Helper()
-	body, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		msg, _ := io.ReadAll(resp.Body)
-		t.Fatalf("POST %s: %s: %s", url, resp.Status, msg)
-	}
-	if resp.StatusCode == http.StatusNoContent {
-		return nil
-	}
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// Old workers keep working: a request without max_chunks gets the
-// legacy single-WireChunk document (strictly decodable), and plain
-// single-chunk /result posts are still accepted and never counted as
-// compressed.
-func TestLegacySingleChunkProtocolCompat(t *testing.T) {
-	f := startFleet(t, 0, tightOpts(), 0)
-	var jr JoinReply
-	if err := json.Unmarshal(postJSON(t, f.ts.URL+"/fleet/v1/join", JoinRequest{Name: "legacy"}), &jr); err != nil {
-		t.Fatal(err)
-	}
-
-	sp := fleetSpec("fleet-legacy")
-	_, jobs, err := sp.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- f.coord.ExecuteBatch(context.Background(), sp, jobs, nil) }()
-
-	// Pull and post exactly as a PR-9 worker would: no max_chunks,
-	// strict single-chunk decode, plain /result posts, no elapsed_us.
-	eng := engine.New(sock(), 1)
-	w := &Worker{Eng: eng, specs: map[uint64][]engine.Job{}}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("legacy drain never finished")
-		}
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := f.coord.Stats()
-			if st.ResultPostsGzip != 0 {
-				t.Errorf("legacy plain posts counted as gzip (stats %+v)", st)
-			}
-			if st.PointsRemote == 0 {
-				t.Error("legacy worker served nothing remotely")
-			}
-			return
-		default:
-		}
-		body := postJSON(t, f.ts.URL+"/fleet/v1/work", WorkRequest{WorkerID: jr.WorkerID})
-		if body == nil {
-			continue
-		}
-		var ch WireChunk
-		if err := decodeStrict(bytes.NewReader(body), &ch); err != nil {
-			t.Fatalf("legacy work response is not a bare WireChunk: %v\n%s", err, body)
-		}
-		cr, ok := w.evaluate(context.Background(), &ch)
-		if !ok {
-			t.Fatal("evaluate cancelled unexpectedly")
-		}
-		cr.WorkerID = jr.WorkerID
-		cr.ElapsedUS = 0 // a PR-9 worker does not self-report
-		postJSON(t, f.ts.URL+"/fleet/v1/result", cr)
-	}
-}
-
 // The GET /fleet/v1/stats endpoint serves the analyzer document, and
 // compresses large responses for clients that advertise gzip (checked
 // on a raw transport: the default one hides the Content-Encoding).

@@ -44,7 +44,7 @@ type Worker struct {
 	Disk *resultstore.Disk
 	// EvalDelay adds a deterministic per-point latency before each
 	// evaluation — the synthetic cost knob for scheduler drills and the
-	// speedup harness (the model solver is microseconds per point,
+	// scheduler-scaling test (the model solver is microseconds per point,
 	// cheaper than one network hop; real fleets exist for workloads
 	// where this is milliseconds or more).
 	EvalDelay time.Duration
@@ -213,10 +213,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// workerMaxChunks advertises how many chunks this worker accepts per
-// long-poll. Their results come back as one coalesced post, so a
-// deeper pull amortizes both directions of the round trip when the
-// coordinator's queue is deep.
+// workerMaxChunks is how many chunks this worker accepts per long-poll.
+// Their results come back as one coalesced post, so a deeper pull
+// amortizes both directions of the round trip.
 const workerMaxChunks = 4
 
 // pullWork long-polls the next chunks: (nil, 200-class, nil) means the

@@ -1,16 +1,15 @@
 package scenario
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 
+	"repro/internal/jsoncodec"
 	"repro/internal/memsys"
 	"repro/internal/workload"
 )
@@ -184,10 +183,8 @@ func (s Spec) MarshalJSON() ([]byte, error) {
 // typoed axis name fails loudly instead of silently sweeping defaults.
 // Structural decoding only; LoadSpec/ParseSpec run Validate on top.
 func (s *Spec) UnmarshalJSON(data []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var js jsonSpec
-	if err := dec.Decode(&js); err != nil {
+	if err := jsoncodec.DecodeStrict(data, &js, ""); err != nil {
 		return err
 	}
 	out := Spec{
@@ -238,15 +235,13 @@ func Encode(s Spec) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-var unknownField = regexp.MustCompile(`json: unknown field "([^"]+)"`)
-
 // ParseSpec decodes and validates one spec from file bytes. src names
 // the source (a path) for error messages; decode errors carry line:col
 // positions so a broken file points at its own defect.
 func ParseSpec(data []byte, src string) (Spec, error) {
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Spec{}, specError(data, src, err)
+	if err := jsoncodec.DecodeStrict(data, &s, src); err != nil {
+		return Spec{}, err
 	}
 	if s.Name == "" {
 		return Spec{}, fmt.Errorf("%s: spec has no name", src)
@@ -255,36 +250,6 @@ func ParseSpec(data []byte, src string) (Spec, error) {
 		return Spec{}, fmt.Errorf("%s: %w", src, err)
 	}
 	return s, nil
-}
-
-// specError upgrades a decode error with a line:col position when one
-// can be recovered (offset-carrying errors, unknown fields).
-func specError(data []byte, src string, err error) error {
-	var off int64 = -1
-	switch e := err.(type) {
-	case *json.SyntaxError:
-		off = e.Offset
-	case *json.UnmarshalTypeError:
-		off = e.Offset
-	default:
-		if m := unknownField.FindStringSubmatch(err.Error()); m != nil {
-			if i := bytes.Index(data, []byte(`"`+m[1]+`"`)); i >= 0 {
-				off = int64(i) + 1
-			}
-		}
-	}
-	if off < 0 || off > int64(len(data)) {
-		return fmt.Errorf("%s: %w", src, err)
-	}
-	line, col := 1, 1
-	for _, c := range data[:off] {
-		col++
-		if c == '\n' {
-			line++
-			col = 1
-		}
-	}
-	return fmt.Errorf("%s:%d:%d: %w", src, line, col, err)
 }
 
 // LoadSpec reads and validates one spec file.

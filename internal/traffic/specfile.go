@@ -1,22 +1,21 @@
 package traffic
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
+
+	"repro/internal/jsoncodec"
 )
 
 // The traffic-spec file schema is the Spec struct itself: plain tagged
 // fields, no translation layer, decoded strictly. Unknown fields are
-// rejected at every nesting level — the top-level decoder's
-// DisallowUnknownFields propagates into Client/Arrival/Template/Phase,
-// and an inline scenario spec is strict through scenario.Spec's own
-// UnmarshalJSON. The files under traffic/ at the repository root are
-// generated by nvmload -export-specs and pinned byte-for-byte by test,
-// exactly like specs/.
+// rejected at every nesting level — jsoncodec.DecodeStrict's check
+// propagates into Client/Arrival/Template/Phase, and an inline scenario
+// spec is strict through scenario.Spec's own UnmarshalJSON. The files
+// under traffic/ at the repository root are generated by nvmload
+// -export-specs and pinned byte-for-byte by test, exactly like specs/.
 
 // Encode renders the spec as an indented traffic file (the exact bytes
 // WriteSpecs ships under traffic/).
@@ -28,52 +27,18 @@ func Encode(s Spec) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-var unknownField = regexp.MustCompile(`json: unknown field "([^"]+)"`)
-
 // ParseSpec decodes and validates one traffic spec from file bytes. src
 // names the source (a path) for error messages; decode errors carry
 // line:col positions so a broken file points at its own defect.
 func ParseSpec(data []byte, src string) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, specError(data, src, err)
+	if err := jsoncodec.DecodeStrict(data, &s, src); err != nil {
+		return Spec{}, err
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, fmt.Errorf("%s: %w", src, err)
 	}
 	return s, nil
-}
-
-// specError upgrades a decode error with a line:col position when one
-// can be recovered (offset-carrying errors, unknown fields).
-func specError(data []byte, src string, err error) error {
-	var off int64 = -1
-	switch e := err.(type) {
-	case *json.SyntaxError:
-		off = e.Offset
-	case *json.UnmarshalTypeError:
-		off = e.Offset
-	default:
-		if m := unknownField.FindStringSubmatch(err.Error()); m != nil {
-			if i := bytes.Index(data, []byte(`"`+m[1]+`"`)); i >= 0 {
-				off = int64(i) + 1
-			}
-		}
-	}
-	if off < 0 || off > int64(len(data)) {
-		return fmt.Errorf("%s: %w", src, err)
-	}
-	line, col := 1, 1
-	for _, c := range data[:off] {
-		col++
-		if c == '\n' {
-			line++
-			col = 1
-		}
-	}
-	return fmt.Errorf("%s:%d:%d: %w", src, line, col, err)
 }
 
 // LoadSpec reads and validates one traffic spec file.

@@ -1,10 +1,10 @@
 package workload
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/jsoncodec"
 	"repro/internal/memdev"
 	"repro/internal/memsys"
 	"repro/internal/units"
@@ -119,10 +119,8 @@ func (w *Workload) MarshalJSON() ([]byte, error) {
 // schema. Unknown fields are rejected so a typoed knob fails loudly
 // instead of silently taking its zero default.
 func (w *Workload) UnmarshalJSON(data []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var jw jsonWorkload
-	if err := dec.Decode(&jw); err != nil {
+	if err := jsoncodec.DecodeStrict(data, &jw, ""); err != nil {
 		return fmt.Errorf("workload: %w", err)
 	}
 	out := Workload{
